@@ -1,9 +1,9 @@
-//! The ReSyn-rs benchmark: cold synthesis, warm-cache synthesis and program
-//! checking over the paper's Tables 1 and 2.
+//! The ReSyn-rs benchmark: cold synthesis and program checking over the
+//! paper's Tables 1 and 2.
 //!
 //! ```console
 //! $ cargo run --release --manifest-path benchmark/Cargo.toml -- \
-//!       --workload synth-cold --seed 1 --seconds 35 --trace 0
+//!       --workload synth-cold --seed 1 --seconds 45 --trace 0
 //! $ cargo run --release --manifest-path benchmark/Cargo.toml -- --bless
 //! ```
 //!
@@ -14,6 +14,7 @@
 
 mod expect;
 mod heap;
+mod refkernel;
 mod stats;
 mod trace;
 mod workload;
@@ -32,7 +33,7 @@ pub const EXPECTATIONS: &str = include_str!("../expectations.tsv");
 struct Args {
     workload: Option<Workload>,
     seed: u64,
-    seconds: f64,
+    seconds: Option<f64>,
     trace: bool,
     bless: bool,
 }
@@ -41,7 +42,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workload: None,
         seed: 0,
-        seconds: 20.0,
+        seconds: None,
         trace: false,
         bless: false,
     };
@@ -56,7 +57,7 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--workload" => args.workload = Some(value.parse()?),
             "--seed" => args.seed = value.parse().map_err(|_| bad())?,
-            "--seconds" => args.seconds = value.parse().map_err(|_| bad())?,
+            "--seconds" => args.seconds = Some(value.parse().map_err(|_| bad())?),
             "--trace" => {
                 args.trace = match value.as_str() {
                     "0" => false,
@@ -83,7 +84,8 @@ fn main() {
             );
         }
         let workload = args.workload.ok_or("--workload is required")?;
-        let report = workload::run(workload, args.seed, args.seconds, args.trace)?;
+        let seconds = args.seconds.ok_or("--seconds is required")?;
+        let report = workload::run(workload, args.seed, seconds, args.trace)?;
         println!("{}", report.to_json());
         Ok(())
     });

@@ -1,12 +1,12 @@
-//! The three workloads, their rounds of ops, verification and metrics.
+//! The two workloads, their rounds of ops, verification and metrics.
 //!
-//! An op is one goal in one mode: a `Synthesizer::synthesize` call for the
-//! synthesis workloads, a `Synthesizer::check` call on a recorded program for
+//! An op is one goal in one mode: a `Synthesizer::synthesize` call for
+//! `synth-cold`, a `Synthesizer::check` call on a recorded program for
 //! `check-programs`. Ops run one at a time, each on its own fresh
-//! `Synthesizer` and `SolverCache` (for `synth-warm`, the one its untimed
-//! fill pass warmed). A run repeats rounds over its fixed op set, each round
-//! in an order shuffled by the seed, for about `--seconds`; every time is
-//! the per-op median over the op's executions.
+//! `Synthesizer` and `SolverCache`. A run repeats rounds over its fixed op
+//! set, each round in an order shuffled by the seed, for about `--seconds`;
+//! every end-to-end time is the per-op median over the op's executions, each
+//! scaled by the reference kernel run around it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -23,6 +23,7 @@ use resyn::ty::Datatypes;
 
 use crate::expect::{modes, Expectations, Verdict};
 use crate::heap;
+use crate::refkernel::Calibration;
 use crate::stats::{geomean, median, quantile, Rng};
 use crate::trace::{SpanId, Tracer};
 
@@ -78,8 +79,6 @@ const UNTIMED_CHECK: &[&str] = &["sslist-insert", "list-compress"];
 pub enum Workload {
     /// `synthesize` on a cold cache.
     SynthCold,
-    /// `synthesize` on a cache its own untimed first pass filled.
-    SynthWarm,
     /// `check` of each recorded program in both modes on a cold cache.
     CheckPrograms,
 }
@@ -90,10 +89,9 @@ impl std::str::FromStr for Workload {
     fn from_str(s: &str) -> Result<Workload, String> {
         match s {
             "synth-cold" => Ok(Workload::SynthCold),
-            "synth-warm" => Ok(Workload::SynthWarm),
             "check-programs" => Ok(Workload::CheckPrograms),
             other => Err(format!(
-                "unknown workload `{other}` (expected synth-cold, synth-warm or check-programs)"
+                "unknown workload `{other}` (expected synth-cold or check-programs)"
             )),
         }
     }
@@ -184,17 +182,17 @@ impl Counters {
 /// Everything observed of one op over the run.
 #[derive(Default)]
 struct OpLog {
-    /// Timed seconds per untraced round and per traced round.
-    untraced: Vec<f64>,
+    /// Timed seconds per untraced execution, with its calibration epoch, and
+    /// per traced round.
+    untraced: Vec<(f64, usize)>,
     traced: Vec<f64>,
-    /// Seconds of the same op repeated on its now-warm cache (traced rounds
-    /// of the cold workloads) or of its fill passes (`synth-warm`).
+    /// Seconds of a traced round's whole op slot: the timed execution with
+    /// its spans, plus the layer calls only a traced round makes.
+    traced_slot: Vec<(f64, usize)>,
+    /// Seconds of the same op repeated on its now-warm cache (traced rounds).
     warm: Vec<f64>,
-    fill: Vec<f64>,
-    /// Counters of every timed execution, and of the cold pass (the timed
-    /// execution itself, or the fill for `synth-warm`).
+    /// Counters of every timed execution.
     counters: Vec<Counters>,
-    cold: Vec<Counters>,
     /// Growth of live heap bytes from just before the op built its
     /// synthesizer to the op's high-water mark, per execution.
     heap: Vec<usize>,
@@ -213,8 +211,8 @@ fn setup(workload: Workload, tracer: &mut Tracer) -> Result<(Vec<Benchmark>, Vec
     let mut ops = Vec::new();
     for (b, bench) in benches.iter().enumerate() {
         let untimed = match workload {
+            Workload::SynthCold => UNTIMED_SYNTH,
             Workload::CheckPrograms => UNTIMED_CHECK,
-            _ => UNTIMED_SYNTH,
         };
         if untimed.contains(&bench.id.as_str()) {
             continue;
@@ -222,9 +220,7 @@ fn setup(workload: Workload, tracer: &mut Tracer) -> Result<(Vec<Benchmark>, Vec
         let [resource_mode, _] = modes(bench);
         // (program mode, op mode, expected check verdict)
         let plan: Vec<(Mode, Mode, Option<bool>)> = match workload {
-            Workload::SynthCold | Workload::SynthWarm => {
-                modes(bench).iter().map(|&m| (m, m, None)).collect()
-            }
+            Workload::SynthCold => modes(bench).iter().map(|&m| (m, m, None)).collect(),
             Workload::CheckPrograms => exp
                 .check
                 .iter()
@@ -278,18 +274,19 @@ fn setup(workload: Workload, tracer: &mut Tracer) -> Result<(Vec<Benchmark>, Vec
     Ok((benches, ops))
 }
 
-/// Run the set-up once, timing it into `times`; `round` is the round to
-/// tag spans with afterwards.
+/// Run the set-up once, timing it into `times` with its calibration epoch;
+/// `round` is the round to tag spans with afterwards.
 fn timed_setup(
     workload: Workload,
     tracer: &mut Tracer,
     round: u32,
-    times: &mut Vec<f64>,
+    times: &mut Vec<(f64, usize)>,
+    epoch: usize,
 ) -> Result<(Vec<Benchmark>, Vec<Op>), String> {
     tracer.set_round(SETUP_ROUNDS + times.len() as u32);
     let t = Instant::now();
     let built = setup(workload, tracer)?;
-    times.push(t.elapsed().as_secs_f64());
+    times.push((t.elapsed().as_secs_f64(), epoch));
     tracer.set_round(round);
     Ok(built)
 }
@@ -307,7 +304,6 @@ impl Report {
         let mut m = String::new();
         for (i, (name, value, unit)) in self.metrics.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
-            let value = if value.is_finite() { *value } else { 0.0 };
             let _ = write!(
                 m,
                 "{sep}\"{name}\": {{\"value\": {value}, \"unit\": \"{unit}\"}}"
@@ -329,25 +325,10 @@ pub fn run(
 ) -> Result<Report, String> {
     let mut tracer = Tracer::new(traced_run);
     let mut setup_times = Vec::new();
-    let (benches, ops) = timed_setup(workload, &mut tracer, 0, &mut setup_times)?;
+    let mut cal = Calibration::new();
+    let (benches, ops) = timed_setup(workload, &mut tracer, 0, &mut setup_times, cal.epoch())?;
     let datatypes = Datatypes::standard();
     let mut logs: Vec<OpLog> = ops.iter().map(|_| OpLog::default()).collect();
-
-    // synth-warm: the untimed first pass fills each op's own cache.
-    let mut warm: Vec<Option<Synthesizer>> = ops.iter().map(|_| None).collect();
-    if workload == Workload::SynthWarm {
-        for (i, op) in ops.iter().enumerate() {
-            let synth = Synthesizer::with_timeout(OP_BUDGET);
-            let t = Instant::now();
-            let outcome = synth.synthesize(&benches[op.bench].goal, op.mode);
-            logs[i].fill.push(t.elapsed().as_secs_f64());
-            logs[i].cold.push(Counters::of_synth(&outcome));
-            if let Err(e) = verify_synth(op, &outcome) {
-                logs[i].failures.push(format!("fill: {e}"));
-            }
-            warm[i] = Some(synth);
-        }
-    }
 
     // Rounds. A traced run alternates traced and untraced rounds so the
     // tracing overhead can be read off the two.
@@ -370,18 +351,21 @@ pub fn run(
             let op = &ops[i];
             let bench = &benches[op.bench];
             let log = &mut logs[i];
+            cal.tick();
+            let epoch = cal.epoch();
+            let slot_start = Instant::now();
             let root = tracer.open("op", &op.id, None);
             let mut spent = 0.0;
             for rep in 1..=MAX_REPS {
                 let result = match op.accept {
-                    None => run_synth(op, bench, warm[i].as_ref(), traced, &mut tracer, root, log),
-                    Some(_) => run_check(op, bench, traced, &mut tracer, root, log),
+                    None => run_synth(op, bench, traced, epoch, &mut tracer, root, log),
+                    Some(_) => run_check(op, bench, traced, epoch, &mut tracer, root, log),
                 };
                 if let Err(e) = result {
                     log.failures.push(e);
                     break;
                 }
-                spent += log.untraced.last().copied().unwrap_or(0.0);
+                spent += log.untraced.last().map_or(0.0, |&(secs, _)| secs);
                 if traced || spent >= MIN_OP_SECONDS || rep == MAX_REPS {
                     break;
                 }
@@ -393,9 +377,13 @@ pub fn run(
                 log.library = (report.library_size as u64, report.pruned_size() as u64);
             }
             tracer.close(root, &[]);
+            if traced {
+                log.traced_slot
+                    .push((slot_start.elapsed().as_secs_f64(), epoch));
+            }
             slot += 1;
             if slot % SETUP_EVERY == 0 {
-                timed_setup(workload, &mut tracer, round, &mut setup_times)?;
+                timed_setup(workload, &mut tracer, round, &mut setup_times, epoch)?;
             }
         }
         last_round = round_start.elapsed().as_secs_f64();
@@ -406,44 +394,46 @@ pub fn run(
         round += 1;
     }
     tracer.set_on(false);
+    cal.finish();
 
     // Exact-counter self-check: within the run across rounds (each in its
     // own seeded order), and against an earlier run of the same binary.
     for log in &mut logs {
-        if log.counters.windows(2).any(|w| w[0] != w[1])
-            || log.cold.windows(2).any(|w| w[0] != w[1])
-        {
+        if log.counters.windows(2).any(|w| w[0] != w[1]) {
             log.failures
                 .push("counters differ between rounds".to_string());
         }
     }
-    if let Err(e) = compare_counters(workload, &ops, &mut logs) {
-        eprintln!("counter file: {e}");
-    }
+    compare_counters(workload, &ops, &mut logs).map_err(|e| format!("counter file: {e}"))?;
     if traced_run {
-        write_trace(workload, seed, &tracer);
+        write_trace(workload, seed, &tracer)?;
     }
 
-    let mut failed = 0;
+    // Every execution of an op that failed at all counts as failed: its
+    // times and counters stay out of the metrics.
+    let (mut attempted, mut failed) = (0, 0);
     for (op, log) in ops.iter().zip(&logs) {
+        let executions = (log.untraced.len() + log.traced.len()).max(1);
+        attempted += executions;
+        if !log.failures.is_empty() {
+            failed += executions;
+        }
         for f in &log.failures {
             eprintln!("FAILED {}: {f}", op.id);
         }
-        failed += log.failures.len();
     }
-    let attempted = logs
-        .iter()
-        .map(|l| l.untraced.len() + l.traced.len())
-        .sum::<usize>();
-    diagnostics(workload, &logs);
+    diagnostics(workload, &ops, &logs, &setup_times, &cal);
     let metrics = if traced_run {
-        per_layer(workload, &ops, &logs, &tracer)
+        per_layer(&ops, &logs, &tracer, &cal)
     } else {
-        end_to_end(&ops, &logs, &setup_times)
+        end_to_end(&ops, &logs, &setup_times, &cal)
     };
+    if let Some((name, value, _)) = metrics.iter().find(|(_, v, _)| !v.is_finite()) {
+        return Err(format!("metric {name} is {value}"));
+    }
     Ok(Report {
         correct: failed == 0,
-        attempted: attempted.max(1),
+        attempted,
         failed,
         metrics,
     })
@@ -452,16 +442,14 @@ pub fn run(
 fn run_synth(
     op: &Op,
     bench: &Benchmark,
-    warm: Option<&Synthesizer>,
     traced: bool,
+    epoch: usize,
     tracer: &mut Tracer,
     root: SpanId,
     log: &mut OpLog,
 ) -> Result<(), String> {
     let base = heap::reset_peak();
-    let synth = warm
-        .cloned()
-        .unwrap_or_else(|| Synthesizer::with_timeout(OP_BUDGET));
+    let synth = Synthesizer::with_timeout(OP_BUDGET);
     let span = tracer.open("synth.synthesize", &op.id, Some(root));
     let t = Instant::now();
     let outcome = synth.synthesize(&bench.goal, op.mode);
@@ -472,14 +460,11 @@ fn run_synth(
     if traced {
         log.traced.push(secs);
     } else {
-        log.untraced.push(secs);
+        log.untraced.push((secs, epoch));
     }
     log.counters.push(counters);
-    if warm.is_none() {
-        log.cold.push(counters);
-    }
     verify_synth(op, &outcome)?;
-    if traced && warm.is_none() {
+    if traced {
         let t = Instant::now();
         synth.synthesize(&bench.goal, op.mode);
         log.warm.push(t.elapsed().as_secs_f64());
@@ -542,6 +527,7 @@ fn run_check(
     op: &Op,
     bench: &Benchmark,
     traced: bool,
+    epoch: usize,
     tracer: &mut Tracer,
     root: SpanId,
     log: &mut OpLog,
@@ -567,10 +553,9 @@ fn run_check(
         synth.check(&bench.goal, op.mode, program);
         log.warm.push(t.elapsed().as_secs_f64());
     } else {
-        log.untraced.push(secs);
+        log.untraced.push((secs, epoch));
     }
     log.counters.push(counters);
-    log.cold.push(counters);
     if Some(accepted) != op.accept {
         return Err(format!(
             "check verdict {accepted}, expected {:?}",
@@ -599,13 +584,12 @@ fn exe_fingerprint() -> Result<u64, String> {
 fn compare_counters(workload: Workload, ops: &[Op], logs: &mut [OpLog]) -> Result<(), String> {
     let mut mine = String::new();
     for (op, log) in ops.iter().zip(logs.iter()) {
-        let timed = log
+        let counters = log
             .counters
             .first()
             .map(Counters::render)
             .unwrap_or_default();
-        let cold = log.cold.first().map(Counters::render).unwrap_or_default();
-        let _ = writeln!(mine, "{}\t{timed}\t{cold}", op.id);
+        let _ = writeln!(mine, "{}\t{counters}", op.id);
     }
     let path = format!(
         "{OUT_DIR}/counters-{workload:?}-{:016x}.tsv",
@@ -632,23 +616,33 @@ fn compare_counters(workload: Workload, ops: &[Op], logs: &mut [OpLog]) -> Resul
     }
 }
 
-fn write_trace(workload: Workload, seed: u64, tracer: &Tracer) {
+fn write_trace(workload: Workload, seed: u64, tracer: &Tracer) -> Result<(), String> {
     let path = format!("{OUT_DIR}/trace-{workload:?}-seed{seed}.jsonl");
-    let written =
-        std::fs::create_dir_all(OUT_DIR).and_then(|()| std::fs::write(&path, tracer.to_jsonl()));
-    match written {
-        Ok(()) => eprintln!("trace written to {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    std::fs::create_dir_all(OUT_DIR)
+        .and_then(|()| std::fs::write(&path, tracer.to_jsonl()))
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("trace written to {path}");
+    Ok(())
 }
 
 /// Per-op p50 and tail, on standard error only: the per-op time distribution
 /// has gaps (many ops under 10 ms, the rest 0.1–9 s) that rank statistics
-/// fall into, so they are too unsteady to gate on.
-fn diagnostics(workload: Workload, logs: &[OpLog]) {
+/// fall into, so they are too unsteady to gate on. Also the unscaled times
+/// and the reference kernel's median.
+fn diagnostics(
+    workload: Workload,
+    ops: &[Op],
+    logs: &[OpLog],
+    setup_times: &[(f64, usize)],
+    cal: &Calibration,
+) {
     let samples: Vec<f64> = logs
         .iter()
-        .flat_map(|l| l.untraced.iter().chain(&l.traced).copied())
+        .flat_map(|l| {
+            unscaled(&l.untraced)
+                .into_iter()
+                .chain(l.traced.iter().copied())
+        })
         .collect();
     let n = samples.len();
     // The highest percentile with at least ten samples beyond it.
@@ -659,33 +653,47 @@ fn diagnostics(workload: Workload, logs: &[OpLog]) {
         tail * 100.0,
         quantile(&samples, tail)
     );
+    eprintln!(
+        "diagnostic {workload:?}: unscaled total {:.6} s, setup {:.6} s; \
+         reference kernel median {:.6} s",
+        sum_per_op(ops, logs, |_| true, |l| median(&unscaled(&l.untraced))),
+        median(&unscaled(setup_times)),
+        cal.median()
+    );
 }
 
-/// Per-op medians of the chosen samples, summed over the ops `pick` keeps.
-fn sum_medians(
+/// The seconds of timed executions, without their calibration epochs.
+fn unscaled(times: &[(f64, usize)]) -> Vec<f64> {
+    times.iter().map(|&(secs, _)| secs).collect()
+}
+
+/// Per-op values, summed over the ops `pick` keeps that did not fail.
+fn sum_per_op(
     ops: &[Op],
     logs: &[OpLog],
-    samples: fn(&OpLog) -> &[f64],
     pick: impl Fn(&Op) -> bool,
+    value: impl Fn(&OpLog) -> f64,
 ) -> f64 {
     ops.iter()
         .zip(logs)
         .filter(|(op, log)| pick(op) && log.failures.is_empty())
-        .map(|(_, log)| median(samples(log)))
+        .map(|(_, log)| value(log))
         .sum()
 }
 
+/// The end-to-end metrics. Every time is scaled to the reference kernel's
+/// nominal speed at the moment it was measured (see [`Calibration`]).
 fn end_to_end(
     ops: &[Op],
     logs: &[OpLog],
-    setup_times: &[f64],
+    setup_times: &[(f64, usize)],
+    cal: &Calibration,
 ) -> Vec<(&'static str, f64, &'static str)> {
-    let untraced: fn(&OpLog) -> &[f64] = |l| &l.untraced;
-    let fill = sum_medians(ops, logs, |l| &l.fill, |_| true);
+    let op_median = |l: &OpLog| median(&cal.scaled(&l.untraced));
     let medians: Vec<f64> = logs
         .iter()
         .filter(|l| l.failures.is_empty())
-        .map(|l| median(&l.untraced))
+        .map(op_median)
         .collect();
     let peak_heap = logs
         .iter()
@@ -693,10 +701,10 @@ fn end_to_end(
         .max()
         .copied()
         .unwrap_or(0) as f64;
-    let resyn = sum_medians(ops, logs, untraced, |op| op.resource);
-    let synquid = sum_medians(ops, logs, untraced, |op| !op.resource);
+    let resyn = sum_per_op(ops, logs, |op| op.resource, op_median);
+    let synquid = sum_per_op(ops, logs, |op| !op.resource, op_median);
     vec![
-        ("setup_s", median(setup_times) + fill, "s"),
+        ("setup_s", median(&cal.scaled(setup_times)), "s"),
         ("total_s", resyn + synquid, "s"),
         ("resyn_s", resyn, "s"),
         ("synquid_s", synquid, "s"),
@@ -707,10 +715,10 @@ fn end_to_end(
 }
 
 fn per_layer(
-    workload: Workload,
     ops: &[Op],
     logs: &[OpLog],
     tracer: &Tracer,
+    cal: &Calibration,
 ) -> Vec<(&'static str, f64, &'static str)> {
     let ok: Vec<(&Op, &OpLog)> = ops
         .iter()
@@ -720,21 +728,22 @@ fn per_layer(
     let first = |v: &[Counters]| v.first().copied().unwrap_or_default();
     let sum = |f: &dyn Fn(&OpLog) -> u64| ok.iter().map(|(_, l)| f(l)).sum::<u64>() as f64;
     let timed = |l: &OpLog| first(&l.counters);
-    let cold = |l: &OpLog| first(&l.cold);
 
     let hits = sum(&|l| timed(l).hits);
-    let timed_misses = sum(&|l| timed(l).misses);
-    let cold_misses = sum(&|l| cold(l).misses);
+    let misses = sum(&|l| timed(l).misses);
     let candidates = sum(&|l| timed(l).candidates);
-    let traced_total: f64 = ok.iter().map(|(_, l)| median(&l.traced)).sum();
-    let untraced_total: f64 = ok.iter().map(|(_, l)| median(&l.untraced)).sum();
-    // Solver-miss time: the cold pass minus the same op on its warm cache.
+    // What an op costs in a traced round (spans and the traced round's extra
+    // layer calls included) against its untraced time, both scaled so that
+    // a change of machine speed between the rounds does not show.
+    let scaled_total = |times: fn(&OpLog) -> &[(f64, usize)]| -> f64 {
+        ok.iter().map(|(_, l)| median(&cal.scaled(times(l)))).sum()
+    };
+    let traced_total = scaled_total(|l| &l.traced_slot);
+    let untraced_total = scaled_total(|l| &l.untraced);
+    // Solver-miss time: the cold op minus the same op on its warm cache.
     let miss_s: f64 = ok
         .iter()
-        .map(|(_, l)| match workload {
-            Workload::SynthWarm => median(&l.fill) - median(&l.traced),
-            _ => median(&l.traced) - median(&l.warm),
-        })
+        .map(|(_, l)| median(&l.traced) - median(&l.warm))
         .sum();
     // Resource-mode minus Synquid-mode time over op pairs of one goal (and
     // one program, for checks) whose candidate counts agree.
@@ -758,15 +767,11 @@ fn per_layer(
     let layer = |name: &str| self_times.get(name).copied().unwrap_or(0.0);
     let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
     vec![
-        ("solver.misses", cold_misses, "count"),
+        ("solver.misses", misses, "count"),
         ("solver.hits", hits, "count"),
-        (
-            "solver.hit_ratio",
-            ratio(hits, hits + timed_misses),
-            "ratio",
-        ),
+        ("solver.hit_ratio", ratio(hits, hits + misses), "ratio"),
         ("solver.miss_s", miss_s, "s"),
-        ("solver.s_per_miss", ratio(miss_s, cold_misses), "s"),
+        ("solver.s_per_miss", ratio(miss_s, misses), "s"),
         ("synth.candidates", candidates, "count"),
         ("synth.skeletons", sum(&|l| timed(l).skeletons), "count"),
         (
@@ -795,7 +800,7 @@ fn per_layer(
             "count",
         ),
         ("rescon.overhead_s", overhead, "s"),
-        ("logic.interned_terms", sum(&|l| cold(l).interned), "count"),
+        ("logic.interned_terms", sum(&|l| timed(l).interned), "count"),
         ("parse.expr_s", layer("parse.expr"), "s"),
         ("lang.classify_s", layer("lang.classify"), "s"),
         (
@@ -803,6 +808,7 @@ fn per_layer(
             100.0 * ratio(traced_total - untraced_total, untraced_total),
             "%",
         ),
+        ("bench.kernel_s", cal.median(), "s"),
     ]
 }
 
