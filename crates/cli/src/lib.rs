@@ -124,9 +124,6 @@ pub struct Options {
     /// `serve`: queue-depth limit before requests bounce with `overloaded`
     /// (`--queue N`).
     pub queue: Option<usize>,
-    /// `serve`: epoll I/O threads (`--io-threads N`); defaults to 1 — one
-    /// readiness loop multiplexes thousands of connections.
-    pub io_threads: Option<usize>,
     /// `serve`: cap on concurrently-open connections (`--max-conns N`);
     /// accepts beyond it get an immediate `overloaded` response and close.
     pub max_conns: Option<usize>,
@@ -152,12 +149,6 @@ pub struct Options {
     /// `synth`/`eval`/`serve`: persist the solver cache to this snapshot
     /// file and replay it on startup (`--cache-file PATH`).
     pub cache_file: Option<String>,
-    /// `client`: fetch the server's cache snapshot and write it to this path
-    /// (`--export-cache PATH`).
-    pub export_cache: Option<String>,
-    /// `client`: read a snapshot from this path and seed the server's cache
-    /// with it (`--import-cache PATH`).
-    pub import_cache: Option<String>,
     /// `synth`/`eval`: disable reachability pruning of component libraries
     /// (`--no-prune`). Pruning never changes the outcome — this escape hatch
     /// exists for differential runs and for measuring the pruner's effect.
@@ -183,7 +174,6 @@ impl Default for Options {
             json: None,
             addr: None,
             queue: None,
-            io_threads: None,
             max_conns: None,
             stream: false,
             seed: None,
@@ -193,8 +183,6 @@ impl Default for Options {
             check: None,
             cache_budget: None,
             cache_file: None,
-            export_cache: None,
-            import_cache: None,
             no_prune: false,
             format: None,
             seen_flags: Vec::new(),
@@ -241,7 +229,6 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--jobs",
             "--timeout",
             "--queue",
-            "--io-threads",
             "--max-conns",
             "--goal-jobs",
             "--cache-budget",
@@ -254,8 +241,6 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--goal",
             "--stats",
             "--stream",
-            "--export-cache",
-            "--import-cache",
         ],
         "lint" => &["--format", "--timeout", "--cache-budget", "--cache-file"],
         "gen" => &["--seed", "--count", "--size"],
@@ -394,16 +379,6 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                     .ok_or_else(|| CliError::Usage(format!("invalid queue depth `{value}`")))?;
                 opts.queue = Some(queue);
             }
-            "--io-threads" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--io-threads needs a value".to_string()))?;
-                let io_threads: usize =
-                    value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CliError::Usage(format!("invalid I/O thread count `{value}`"))
-                    })?;
-                opts.io_threads = Some(io_threads);
-            }
             "--max-conns" => {
                 let value = it
                     .next()
@@ -497,18 +472,6 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                     .next()
                     .ok_or_else(|| CliError::Usage("--cache-file needs a value".to_string()))?;
                 opts.cache_file = Some(value.clone());
-            }
-            "--export-cache" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--export-cache needs a value".to_string()))?;
-                opts.export_cache = Some(value.clone());
-            }
-            "--import-cache" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--import-cache needs a value".to_string()))?;
-                opts.import_cache = Some(value.clone());
             }
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown flag `{flag}`")))
@@ -856,7 +819,6 @@ pub fn server_config(opts: &Options) -> ServerConfig {
             defaults.timeout
         },
         queue_limit: opts.queue.unwrap_or(defaults.queue_limit),
-        io_threads: opts.io_threads.unwrap_or(defaults.io_threads),
         max_conns: opts.max_conns,
         goal_jobs: opts.goal_jobs.unwrap_or(defaults.goal_jobs),
         cache_budget: opts.cache_budget,
@@ -951,62 +913,6 @@ pub fn run_client_stream(
                 progress.seq, progress.elapsed_secs
             ));
         })
-        .map_err(|e| CliError::Transport(format!("request to `{addr}` failed: {e}")))?;
-    Ok(render_response(&response))
-}
-
-/// The output of `resyn client --export-cache`: the rendered response (the
-/// counters, without the snapshot itself) plus the snapshot document for the
-/// caller to write to the requested path — this library does no I/O.
-#[derive(Debug, Clone)]
-pub struct CacheExportOutput {
-    /// The rendered response: verdict and cache counters.
-    pub report: String,
-    /// The `resyn-cache/1` snapshot document.
-    pub snapshot: String,
-}
-
-/// `resyn client --export-cache`: fetch the server's solver-cache snapshot.
-///
-/// # Errors
-///
-/// Returns [`CliError::Transport`] when the server cannot be reached, breaks
-/// protocol, or answers without a snapshot payload.
-pub fn run_client_export_cache(opts: &Options) -> Result<CacheExportOutput, CliError> {
-    let addr = opts.addr.as_deref().unwrap_or(DEFAULT_ADDR);
-    let mut client = Client::connect(addr)
-        .map_err(|e| CliError::Transport(format!("cannot connect to `{addr}`: {e}")))?;
-    let response = client
-        .cache_export()
-        .map_err(|e| CliError::Transport(format!("request to `{addr}` failed: {e}")))?;
-    let snapshot = response.payload.clone().ok_or_else(|| {
-        CliError::Transport(format!(
-            "`{addr}` answered a cache export without a snapshot payload"
-        ))
-    })?;
-    Ok(CacheExportOutput {
-        report: render_response(&response),
-        snapshot,
-    })
-}
-
-/// `resyn client --import-cache`: seed the server's solver cache with a
-/// snapshot document (the caller has already read it from disk).
-///
-/// A snapshot the *server* rejects (stale schema, mid-file garbage) is not a
-/// transport error: it renders as an `invalid_request` verdict, like any
-/// other server-side verdict.
-///
-/// # Errors
-///
-/// Returns [`CliError::Transport`] when the server cannot be reached or
-/// breaks protocol.
-pub fn run_client_import_cache(snapshot: &str, opts: &Options) -> Result<String, CliError> {
-    let addr = opts.addr.as_deref().unwrap_or(DEFAULT_ADDR);
-    let mut client = Client::connect(addr)
-        .map_err(|e| CliError::Transport(format!("cannot connect to `{addr}`: {e}")))?;
-    let response = client
-        .cache_import(snapshot.to_string())
         .map_err(|e| CliError::Transport(format!("request to `{addr}` failed: {e}")))?;
     Ok(render_response(&response))
 }
@@ -1210,13 +1116,11 @@ USAGE:
                [--json PATH] [--goal-jobs N] [--cache-budget BYTES]
                [--cache-file PATH] [--no-prune]
     resyn serve [--addr HOST:PORT] [--jobs N] [--timeout SECS] [--queue N]
-                [--io-threads N] [--max-conns N] [--goal-jobs N]
-                [--cache-budget BYTES] [--cache-file PATH]
+                [--max-conns N] [--goal-jobs N] [--cache-budget BYTES]
+                [--cache-file PATH]
     resyn client <problem-file> [--addr HOST:PORT] [--mode MODE]
                  [--timeout SECS] [--goal NAME] [--stream]
     resyn client --stats [--addr HOST:PORT]
-    resyn client --export-cache PATH [--addr HOST:PORT]
-    resyn client --import-cache PATH [--addr HOST:PORT]
     resyn gen [--seed N] [--count N] [--size N]
     resyn fuzz [--seed N] [--count N] [--size N] [--timeout SECS] [--out PATH]
                [--check modes|prune|lint]
@@ -1280,22 +1184,19 @@ tolerated, anything else corrupt is an error.
 `resyn-wire/1` and `/2` JSON over TCP; all sessions share one solver query
 cache, `--queue` bounds the pending-job backlog before requests bounce
 with `overloaded`, and per-request timeouts are clamped to `--timeout`).
-Connections are multiplexed by `--io-threads` epoll readiness loops
-(default 1 — synthesis dominates, not I/O), so thousands of concurrent
-clients cost registered fds, not threads. `--max-conns N` caps concurrently
-open connections: accepts beyond the cap get one immediate `overloaded`
-response and are closed (unlimited by default). Every synthesis request is
-run through the linter's structural checks first; deny-level findings come
-back as the error instead of being synthesized over.
+Connections are multiplexed by one epoll readiness loop, so thousands of
+concurrent clients cost registered fds, not threads. `--max-conns N` caps
+concurrently open connections: accepts beyond the cap get one immediate
+`overloaded` response and are closed (unlimited by default). Every
+synthesis request is run through the linter's structural checks first;
+deny-level findings come back as the error instead of being synthesized
+over.
 `client` submits a problem file — or, with `--stats`, a statistics query —
 to a running server; the default address for both is 127.0.0.1:7171.
 `client --stream` opts into `resyn-wire/2` streaming: the server sends
 rate-limited progress heartbeats while the job runs, printed as they
 arrive, before the unchanged final verdict. `client --stats` reports
 p50/p95/p99 request latency split into queue wait and solve time.
-`client --export-cache PATH` downloads the server's cache snapshot to PATH;
-`--import-cache PATH` seeds a server's cache from such a snapshot (or from
-a `--cache-file`), so warm caches can move between machines.
 ";
 
 #[cfg(test)]
@@ -1359,8 +1260,18 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(matches!(parse_flags(&bad), Err(CliError::Usage(_))));
-        let bad: Vec<String> = ["--frobnicate"].iter().map(|s| s.to_string()).collect();
-        assert!(matches!(parse_flags(&bad), Err(CliError::Usage(_))));
+        for bad in [
+            vec!["--frobnicate"],
+            vec!["--io-threads", "2"],
+            vec!["--export-cache", "x"],
+            vec!["--import-cache", "x"],
+        ] {
+            let bad: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            assert!(
+                matches!(parse_flags(&bad), Err(CliError::Usage(_))),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
@@ -1746,34 +1657,16 @@ mod tests {
 
     #[test]
     fn io_threads_and_stream_flags_are_parsed_scoped_and_validated() {
-        let args: Vec<String> = ["--io-threads", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        assert_eq!(opts.io_threads, Some(2));
-        assert!(check_flag_scope("serve", &opts).is_ok());
-        // `--io-threads` sizes the server's readiness loops; clients have
-        // no use for it.
-        assert!(matches!(
-            check_flag_scope("client", &opts),
-            Err(CliError::Usage(msg)) if msg.contains("--io-threads")
-        ));
-        assert_eq!(server_config(&opts).io_threads, 2);
-        let (_, opts) = parse_flags(&[]).unwrap();
-        assert_eq!(
-            server_config(&opts).io_threads,
-            resyn_server::ServerConfig::default().io_threads
-        );
-
+        // The server runs exactly one readiness loop: `--io-threads` is an
+        // unknown flag whatever its value.
         for bad in [
-            vec!["--io-threads", "0"],
+            vec!["--io-threads", "1"],
             vec!["--io-threads", "many"],
             vec!["--io-threads"],
         ] {
             let bad: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(
-                matches!(parse_flags(&bad), Err(CliError::Usage(_))),
+                matches!(parse_flags(&bad), Err(CliError::Usage(msg)) if msg.contains("unknown flag")),
                 "{bad:?}"
             );
         }
@@ -1871,7 +1764,7 @@ mod tests {
         assert!(check_flag_scope("eval", &opts).is_ok());
         assert!(check_flag_scope("serve", &opts).is_ok());
         // … but not to `check` (no cache worth persisting) or `client`
-        // (the cache lives server-side; use --export-cache/--import-cache).
+        // (the cache lives server-side; restart it with --cache-file).
         assert!(matches!(
             check_flag_scope("check", &opts),
             Err(CliError::Usage(msg)) if msg.contains("--cache-budget")
@@ -1881,32 +1774,11 @@ mod tests {
             Err(CliError::Usage(_))
         ));
 
-        let args: Vec<String> = ["--export-cache", "snap.cache"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        assert_eq!(opts.export_cache.as_deref(), Some("snap.cache"));
-        assert!(check_flag_scope("client", &opts).is_ok());
-        assert!(matches!(
-            check_flag_scope("serve", &opts),
-            Err(CliError::Usage(msg)) if msg.contains("--export-cache")
-        ));
-        let args: Vec<String> = ["--import-cache", "snap.cache"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        assert_eq!(opts.import_cache.as_deref(), Some("snap.cache"));
-        assert!(check_flag_scope("client", &opts).is_ok());
-
         for bad in [
             vec!["--cache-budget", "0"],
             vec!["--cache-budget", "plenty"],
             vec!["--cache-budget"],
             vec!["--cache-file"],
-            vec!["--export-cache"],
-            vec!["--import-cache"],
         ] {
             let bad: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(
@@ -1977,48 +1849,6 @@ mod tests {
         };
         assert_eq!(program(&cold), program(&warm), "verdicts must not drift");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn client_export_and_import_round_trip_a_snapshot() {
-        let server = resyn_server::serve(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            jobs: 1,
-            timeout: Duration::from_secs(60),
-            max_request_bytes: 16 << 20,
-            ..ServerConfig::default()
-        })
-        .expect("ephemeral server starts");
-        let opts = Options {
-            addr: Some(server.addr().to_string()),
-            ..Options::default()
-        };
-        let problem = "goal id_list :: xs: List a -> {List a | len _v == len xs}";
-        let out = run_client(Some(problem), &opts).unwrap();
-        assert!(out.starts_with("verdict: solved\n"), "{out}");
-
-        let export = run_client_export_cache(&opts).unwrap();
-        assert!(
-            export.report.starts_with("verdict: ok\n"),
-            "{}",
-            export.report
-        );
-        assert!(
-            export
-                .snapshot
-                .starts_with("{\"schema\": \"resyn-cache/1\"}"),
-            "snapshot must lead with its version header"
-        );
-        // The rendered report is for the terminal; the (large) snapshot
-        // document itself must not leak into it.
-        assert!(!export.report.contains("resyn-cache/1"));
-
-        // Feed it straight back: every record is a duplicate.
-        let report = run_client_import_cache(&export.snapshot, &opts).unwrap();
-        assert!(report.starts_with("verdict: ok\n"), "{report}");
-        assert!(report.contains("imported: 0"), "{report}");
-        assert!(!report.contains("duplicates: 0"), "{report}");
-        server.shutdown();
     }
 
     #[test]

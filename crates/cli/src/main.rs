@@ -4,9 +4,8 @@
 use std::process::ExitCode;
 
 use resyn_cli::{
-    check_flag_scope, parse_flags, run_check, run_client, run_client_export_cache,
-    run_client_import_cache, run_client_stream, run_eval, run_fuzz, run_gen, run_lint, run_measure,
-    run_parse, run_synth, server_config, CliError, USAGE,
+    check_flag_scope, parse_flags, run_check, run_client, run_client_stream, run_eval, run_fuzz,
+    run_gen, run_lint, run_measure, run_parse, run_synth, server_config, CliError, USAGE,
 };
 
 fn main() -> ExitCode {
@@ -192,30 +191,6 @@ fn run(args: Vec<String>) -> Result<String, CliError> {
             }
         }
         "client" => {
-            if opts.export_cache.is_some() && opts.import_cache.is_some() {
-                return Err(CliError::Usage(
-                    "--export-cache and --import-cache are mutually exclusive".to_string(),
-                ));
-            }
-            if let Some(path) = &opts.export_cache {
-                if !positional.is_empty() || opts.stats {
-                    return Err(CliError::Usage(
-                        "--export-cache takes no problem file and no --stats".to_string(),
-                    ));
-                }
-                let out = run_client_export_cache(&opts)?;
-                std::fs::write(path, &out.snapshot)
-                    .map_err(|e| CliError::Usage(format!("cannot write `{path}`: {e}")))?;
-                return Ok(format!("{}cache snapshot written to {path}\n", out.report));
-            }
-            if let Some(path) = &opts.import_cache {
-                if !positional.is_empty() || opts.stats {
-                    return Err(CliError::Usage(
-                        "--import-cache takes no problem file and no --stats".to_string(),
-                    ));
-                }
-                return run_client_import_cache(&read(path)?, &opts);
-            }
             let wants_stats = opts.stats;
             match (positional.as_slice(), wants_stats) {
                 ([], true) => run_client(None, &opts),

@@ -45,15 +45,12 @@
 //! }
 //! ```
 //!
-//! Version history: `/3` appends the per-mode `"library"` and
-//! `"pruned_library"` counts — how many components the goal declared and how
-//! many survived shape-reachability pruning (equal when pruning is disabled
-//! with `--no-prune`). `/2` appends the per-row `"speedup_noinc"` (NoInc time
-//! over ReSyn time, `null` unless both solved) and the aggregate
-//! `"median_speedup_noinc"`, and populates the ablation columns on *every*
-//! row rather than Table 2 only. Earlier documents are strict subsets, so a
-//! `/3` consumer that indexes by key reads them unchanged —
-//! [`schema_version`] distinguishes the versions where it matters.
+//! Per mode, `"library"` and `"pruned_library"` count how many components
+//! the goal declared and how many survived shape-reachability pruning
+//! (equal when pruning is disabled with `--no-prune`). Per row,
+//! `"speedup_noinc"` is NoInc time over ReSyn time (`null` unless both
+//! solved); the aggregate `"median_speedup_noinc"` is its median. The
+//! ablation columns are populated on every row.
 //!
 //! Encoding rules downstream tooling may rely on:
 //!
@@ -112,19 +109,6 @@ impl<'a> EvalReport<'a> {
             cache: run.cache,
         }
     }
-}
-
-/// The schema version of a parsed report document (`1` for
-/// `"resyn-bench-eval/1"`, `2` for `"resyn-bench-eval/2"`, …); `None` for a
-/// document that is not a bench-eval report at all. Consumers use this to
-/// accept both the current schema and its strict-subset predecessors.
-pub fn schema_version(report: &Json) -> Option<u64> {
-    report
-        .get("schema")
-        .and_then(Json::as_str)?
-        .strip_prefix("resyn-bench-eval/")?
-        .parse()
-        .ok()
 }
 
 /// Serialize a report to the `resyn-bench-eval/3` JSON schema.
@@ -330,7 +314,6 @@ mod tests {
             parsed.get("schema").and_then(Json::as_str),
             Some("resyn-bench-eval/3")
         );
-        assert_eq!(schema_version(&parsed), Some(3));
         assert_eq!(parsed.get("jobs").and_then(Json::as_num), Some(4.0));
         assert_eq!(
             parsed.get("rows").and_then(Json::as_arr).map(<[_]>::len),
@@ -435,34 +418,6 @@ mod tests {
                 .and_then(Json::as_num),
             Some(3.0)
         );
-    }
-
-    #[test]
-    fn v1_documents_still_parse_under_the_v2_consumer_path() {
-        // A `/1` report is a strict subset of `/2` (no `speedup_noinc`, no
-        // `median_speedup_noinc`): by-key consumers read it unchanged and
-        // `schema_version` tells the versions apart.
-        let v1 = r#"{
-          "schema": "resyn-bench-eval/1",
-          "suite": "table1", "jobs": 1, "timeout_secs": 60.0,
-          "wall_clock_secs": 1.0,
-          "rows": [
-            {"id": "list-id", "group": "List", "code": 4,
-             "modes": {"resyn": {"time_secs": 0.1, "timed_out": false,
-                                 "candidates": 2, "cache_hits": 1,
-                                 "cache_misses": 1},
-                       "synquid": null, "eac": null, "noinc": null},
-             "bound_resyn": "O(n)", "bound_synquid": "-", "error": null}
-          ],
-          "aggregate": {"rows": 1}
-        }"#;
-        let parsed = parse_json(v1).expect("v1 document must parse");
-        assert_eq!(schema_version(&parsed), Some(1));
-        let row0 = &parsed.get("rows").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(row0.get("id").and_then(Json::as_str), Some("list-id"));
-        // The v2-only key is simply absent, not an error.
-        assert!(row0.get("speedup_noinc").is_none());
-        assert!(schema_version(&Json::Null).is_none());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Dependency-free readiness I/O for the `resyn` server.
 //!
-//! The server's north star is sustaining thousands of concurrent
-//! connections, which rules out a thread per socket. This crate is the
-//! minimal event-driven substrate the `resyn serve` front end multiplexes
-//! on, hand-rolled in the same no-external-deps spirit as the workspace's
-//! proptest/criterion shims:
+//! The server's one I/O thread multiplexes every connection instead of
+//! parking a thread per socket. This crate is the minimal event-driven
+//! substrate that loop runs on, hand-rolled in the same no-external-deps
+//! spirit as the workspace's proptest shim:
 //!
 //! * [`sys`] — thin `extern "C"` declarations against the libc symbols the
 //!   loop needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`,

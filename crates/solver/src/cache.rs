@@ -67,8 +67,8 @@
 //! also written as one JSON record line, and on startup the log is replayed
 //! (then compacted) so a restarted process answers its old queries warm.
 //! [`export_snapshot`](SolverCache::export_snapshot) /
-//! [`import_snapshot`](SolverCache::import_snapshot) move the same records
-//! over the wire so one server can seed another.
+//! [`import_snapshot`](SolverCache::import_snapshot) write and replay the
+//! same records as a whole document; compaction is built on them.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -660,8 +660,8 @@ impl SolverCache {
 
     /// Serialize every live verdict entry as a snapshot document (version
     /// header plus one record line per entry) — the format
-    /// [`with_snapshot_file`](Self::with_snapshot_file) reads and the
-    /// `cache_export` wire request returns.
+    /// [`with_snapshot_file`](Self::with_snapshot_file) reads and rewrites
+    /// when it compacts the log.
     pub fn export_snapshot(&self) -> String {
         let mut out = persist::header_line();
         out.push('\n');

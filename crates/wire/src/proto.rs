@@ -56,20 +56,6 @@ pub enum Request {
         /// Correlation id echoed in the response.
         id: Option<String>,
     },
-    /// Ask for a snapshot of the server's solver cache (returned in the
-    /// response's `payload` field, in the `resyn-cache/1` format).
-    CacheExport {
-        /// Correlation id echoed in the response.
-        id: Option<String>,
-    },
-    /// Seed the server's solver cache with a snapshot (as produced by
-    /// `cache_export` or written by `--cache-file`).
-    CacheImport {
-        /// Correlation id echoed in the response.
-        id: Option<String>,
-        /// The snapshot document (version header plus record lines).
-        snapshot: String,
-    },
 }
 
 impl Request {
@@ -77,9 +63,7 @@ impl Request {
     pub fn id(&self) -> Option<&str> {
         match self {
             Request::Synth(req) => req.id.as_deref(),
-            Request::Stats { id }
-            | Request::CacheExport { id }
-            | Request::CacheImport { id, .. } => id.as_deref(),
+            Request::Stats { id } => id.as_deref(),
         }
     }
 
@@ -117,19 +101,6 @@ impl Request {
                 if let Some(id) = id {
                     members.push(("id".to_string(), Json::Str(id.clone())));
                 }
-            }
-            Request::CacheExport { id } => {
-                members.push(("type".to_string(), Json::Str("cache_export".to_string())));
-                if let Some(id) = id {
-                    members.push(("id".to_string(), Json::Str(id.clone())));
-                }
-            }
-            Request::CacheImport { id, snapshot } => {
-                members.push(("type".to_string(), Json::Str("cache_import".to_string())));
-                if let Some(id) = id {
-                    members.push(("id".to_string(), Json::Str(id.clone())));
-                }
-                members.push(("snapshot".to_string(), Json::Str(snapshot.clone())));
             }
         }
         render_compact(&Json::Obj(members))
@@ -171,18 +142,8 @@ impl Request {
                 }))
             }
             Some("stats") => Ok(Request::Stats { id }),
-            Some("cache_export") => Ok(Request::CacheExport { id }),
-            Some("cache_import") => Ok(Request::CacheImport {
-                id,
-                snapshot: value
-                    .get("snapshot")
-                    .and_then(Json::as_str)
-                    .ok_or("`cache_import` request needs a string `snapshot` field")?
-                    .to_string(),
-            }),
             Some(other) => Err(format!(
-                "unknown request type `{other}` (expected `synth`, `stats`, \
-                 `cache_export` or `cache_import`)"
+                "unknown request type `{other}` (expected `synth` or `stats`)"
             )),
             None => Err("request needs a string `type` field".to_string()),
         }
@@ -265,9 +226,6 @@ pub struct Response {
     /// `SynthStats` for `synth`, cumulative server counters for `stats`).
     /// Consumers must index by name — new keys may be appended.
     pub stats: Vec<(String, f64)>,
-    /// An opaque document payload: the `resyn-cache/1` snapshot for
-    /// `cache_export`, absent (and omitted from the wire) otherwise.
-    pub payload: Option<String>,
     /// The error message for non-success verdicts.
     pub error: Option<String>,
 }
@@ -281,7 +239,6 @@ impl Response {
             program: None,
             time_secs: None,
             stats: Vec::new(),
-            payload: None,
             error: Some(error.into()),
         }
     }
@@ -297,7 +254,7 @@ impl Response {
             Some(s) => Json::Str(s.clone()),
             None => Json::Null,
         };
-        let mut members = vec![
+        render_compact(&Json::Obj(vec![
             ("wire".to_string(), Json::Str(WIRE_SCHEMA.to_string())),
             ("id".to_string(), Json::Str(self.id.clone())),
             (
@@ -319,13 +276,7 @@ impl Response {
                 ),
             ),
             ("error".to_string(), opt_str(&self.error)),
-        ];
-        // Keep the common case compact: `payload` appears only when present
-        // (older readers index by name and never see it).
-        if let Some(payload) = &self.payload {
-            members.push(("payload".to_string(), Json::Str(payload.clone())));
-        }
-        render_compact(&Json::Obj(members))
+        ]))
     }
 
     /// Parse a response line.
@@ -375,7 +326,6 @@ impl Response {
                 Some(_) => return Err("`time_secs` must be a number".to_string()),
             },
             stats,
-            payload: optional_str(value, "payload")?,
             error: optional_str(value, "error")?,
         })
     }
@@ -542,39 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_requests_round_trip() {
-        let export = Request::CacheExport {
-            id: Some("e".to_string()),
-        };
-        assert_eq!(Request::parse_line(&export.render()).unwrap(), export);
-        assert_eq!(export.id(), Some("e"));
-
-        // Snapshots are multi-line documents: the newlines must survive the
-        // single-line wire encoding.
-        let import = Request::CacheImport {
-            id: None,
-            snapshot: "{\"schema\":\"resyn-cache/1\"}\n{\"kind\":\"valid\"}\n".to_string(),
-        };
-        let line = import.render();
-        assert!(!line.contains('\n'));
-        assert_eq!(Request::parse_line(&line).unwrap(), import);
-
-        let err = Request::parse_line("{\"wire\": \"resyn-wire/1\", \"type\": \"cache_import\"}")
-            .unwrap_err();
-        assert!(err.contains("`snapshot`"), "{err}");
-    }
-
-    #[test]
-    fn response_payloads_round_trip_and_stay_off_the_wire_when_absent() {
-        let mut resp = Response::failure("x", Verdict::Ok, "");
-        resp.error = None;
-        assert!(!resp.render().contains("payload"));
-        resp.payload = Some("{\"schema\":\"resyn-cache/1\"}\n".to_string());
-        let parsed = Response::parse_line(&resp.render()).unwrap();
-        assert_eq!(parsed.payload, resp.payload);
-    }
-
-    #[test]
     fn requests_without_the_wire_field_are_rejected() {
         let err = Request::parse_line("{\"type\": \"stats\"}").unwrap_err();
         assert!(err.contains("resyn-wire/1"), "{err}");
@@ -594,6 +511,10 @@ mod tests {
             ("{\"wire\": \"resyn-wire/1\"}", "`type`"),
             (
                 "{\"wire\": \"resyn-wire/1\", \"type\": \"dance\"}",
+                "unknown request type",
+            ),
+            (
+                "{\"wire\": \"resyn-wire/1\", \"type\": \"cache_export\"}",
                 "unknown request type",
             ),
             (
@@ -622,7 +543,6 @@ mod tests {
                 ("candidates".to_string(), 12.0),
                 ("cache_hits".to_string(), 7.0),
             ],
-            payload: None,
             error: None,
         };
         let line = full.render();

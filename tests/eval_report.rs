@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use resyn::eval::parallel::{run_suite, ParallelConfig};
-use resyn::eval::report::{parse_json, render_json, schema_version, EvalReport, Json};
+use resyn::eval::report::{parse_json, render_json, EvalReport, Json};
 use resyn::eval::{suite, Benchmark};
 
 fn pick(ids: &[&str]) -> Vec<Benchmark> {
@@ -45,7 +45,6 @@ fn real_runs_serialize_to_the_documented_schema() {
         report.get("schema").and_then(Json::as_str),
         Some("resyn-bench-eval/3")
     );
-    assert_eq!(schema_version(&report), Some(3));
     assert_eq!(report.get("suite").and_then(Json::as_str), Some("table1"));
     assert_eq!(report.get("jobs").and_then(Json::as_num), Some(2.0));
     assert!(

@@ -284,60 +284,6 @@ fn snapshot_path(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn cache_snapshots_move_between_servers_via_export_and_import() {
-    // Snapshots of a whole synthesis run are far larger than a problem
-    // file; give the import request room.
-    let big_requests = || {
-        serve(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            jobs: 1,
-            timeout: Duration::from_secs(60),
-            max_request_bytes: 16 << 20,
-            ..ServerConfig::default()
-        })
-        .expect("server binds an ephemeral port")
-    };
-
-    // Warm server A's cache, export a snapshot.
-    let donor = big_requests();
-    let mut client_a = Client::connect(donor.addr()).unwrap();
-    let cold = client_a.synth(synth_request(ID_PROBLEM)).unwrap();
-    assert_eq!(cold.verdict, Verdict::Solved, "{:?}", cold.error);
-    let export = client_a.cache_export().unwrap();
-    assert_eq!(export.verdict, Verdict::Ok);
-    let snapshot = export.payload.expect("export carries the snapshot");
-    assert!(
-        snapshot.starts_with("{\"schema\": \"resyn-cache/1\"}"),
-        "snapshot must lead with its version header"
-    );
-    donor.shutdown();
-
-    // Seed server B with it: the same problem is then answered with hits
-    // on the very first submission.
-    let recipient = big_requests();
-    let mut client_b = Client::connect(recipient.addr()).unwrap();
-    let import = client_b.cache_import(snapshot).unwrap();
-    assert_eq!(import.verdict, Verdict::Ok, "{:?}", import.error);
-    assert!(import.stat("imported").unwrap() > 0.0, "{:?}", import.stats);
-    let warm = client_b.synth(synth_request(ID_PROBLEM)).unwrap();
-    assert_eq!(warm.verdict, Verdict::Solved, "{:?}", warm.error);
-    assert!(
-        warm.stat("cache_hits").unwrap() > 0.0,
-        "imported verdicts must be hit: {:?}",
-        warm.stats
-    );
-    assert!(warm.stat("cache_misses").unwrap() < cold.stat("cache_misses").unwrap());
-
-    // Garbage snapshots are rejected as a verdict, not a dead connection.
-    let rejected = client_b
-        .cache_import("{\"schema\":\"resyn-cache/0\"}\n".to_string())
-        .unwrap();
-    assert_eq!(rejected.verdict, Verdict::InvalidRequest);
-    assert!(rejected.error.unwrap().contains("stale snapshot schema"));
-    recipient.shutdown();
-}
-
-#[test]
 fn a_restarted_server_with_a_cache_file_answers_old_queries_from_disk() {
     let path = snapshot_path("warm-restart");
     let _ = std::fs::remove_file(&path);

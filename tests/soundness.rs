@@ -19,11 +19,11 @@ fn synthesized_insert_respects_its_declared_bound() {
         .unwrap();
     let out =
         Synthesizer::with_timeout(Duration::from_secs(180)).synthesize(&bench.goal, Mode::ReSyn);
-    let Some(program) = out.program else {
-        // Synthesis timed out on this machine; the checker-level tests in
-        // `resyn-ty` still cover the bound, so skip the empirical part.
-        return;
-    };
+    // `sorted-insert` solves in about a second in release; a miss here is a
+    // failure, not a reason to skip the empirical check.
+    let program = out
+        .program
+        .expect("goal `insert` (sorted-insert) must synthesize within the 180 s budget");
     eprintln!("synthesized insert:\n{program}");
     let instrumented = instrument(&program, "insert");
 
